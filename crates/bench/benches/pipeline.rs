@@ -288,17 +288,15 @@ fn bench_data_plane_clients(c: &mut Criterion) {
     group.finish();
 }
 
-/// Multi-core execution plane: the same aggregate workload (256 GETs against
-/// 4 servers, window 32 per client stream) with `C ∈ {1, 2, 4}` client
-/// runtimes, each owned and pumped by its *own dedicated OS thread* inside
-/// the threaded transport (`tc-client-{c}`).  This differs from
-/// `data_plane/clients/{C}` above only in intent, not mechanism — the axis
-/// here is the number of independently scheduled client threads the
-/// execution plane runs, and every row records that count as `threads`
-/// alongside the host's `cores` in BENCH.json.  On a multi-core host the
-/// curve measures genuine parallel drain; on a 1-CPU container (CI) it
-/// measures the scheduling overhead of the per-client-thread design, which
-/// must stay within noise of the single-thread row.
+/// Client streams driven: the same aggregate workload (256 GETs against 4
+/// servers, window 32 per client stream) with `C ∈ {1, 2, 4}` client
+/// runtimes, all driven from the caller's thread — the threaded transport
+/// starts no per-client threads, so `C` counts client streams, not OS
+/// threads.  This differs from `data_plane/clients/{C}` above only in
+/// intent, not mechanism; every row records `C` as `threads` ("client
+/// streams driven") alongside the host's `cores` in BENCH.json, so rows from
+/// a 1-CPU container are never mistaken for multi-core numbers.  More
+/// streams must not cost throughput against the single-stream row.
 fn bench_data_plane_cores(c: &mut Criterion) {
     use tc_workloads::{multi_client_get_burst, Window};
     const OPS: usize = 256;
@@ -326,7 +324,7 @@ fn bench_data_plane_cores(c: &mut Criterion) {
                 .write_memory(cluster.server_rank(s), addr, &vec![0x5Au8; SIZE])
                 .unwrap();
         }
-        // Warm every client thread's path (pool slots, pages) before timing.
+        // Warm every client stream's path (pool slots, pages) before timing.
         multi_client_get_burst(&mut cluster, 4, addr, SIZE as u64, Window::new(4)).unwrap();
 
         group.threads(cores);

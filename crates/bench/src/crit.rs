@@ -43,8 +43,8 @@ pub struct BenchRecord {
     /// context a row was measured under, so scaling rows from a 1-CPU CI
     /// container are never mistaken for real multi-core speedups.
     pub cores: usize,
-    /// Driving OS threads the benchmark deliberately ran (client runtimes,
-    /// worker threads), when the group annotated it.  Distinct from `cores`:
+    /// Client streams driven (independent client runtimes injecting
+    /// concurrently), when the group annotated it.  Distinct from `cores`:
     /// `threads` is workload shape, `cores` is hardware budget.
     pub threads: Option<usize>,
     /// Work-per-iteration annotation, if the group declared one.
@@ -313,7 +313,7 @@ impl BenchmarkGroup {
         self
     }
 
-    /// Annotate how many driving OS threads the following benchmarks run
+    /// Annotate how many client streams the following benchmarks drive
     /// (shim extension, not part of the Criterion API).  Recorded as the
     /// `threads` field of each row until changed or reset with `None`.
     pub fn threads(&mut self, threads: impl Into<Option<usize>>) -> &mut Self {

@@ -372,16 +372,16 @@ impl ClaimTable {
 ///
 /// Sharding by [`ClientId`] is exact, not probabilistic — every claim key is
 /// qualified by its owning client, so a completion's shard is a direct index
-/// and cross-shard claims cannot exist.  The per-shard mutexes mean a client
-/// worker thread depositing completions contends only with waiters touching
-/// *that* client, never with another client's hot claim path; the shared
-/// arrival counter keeps `wait_any` first-arrived fairness globally
-/// meaningful even though different shards absorb concurrently.
+/// and cross-shard claims cannot exist.  The per-shard mutexes mean a thread
+/// depositing completions contends only with waiters touching *that* client,
+/// never with another client's hot claim path; the shared arrival counter
+/// keeps `wait_any` first-arrived fairness globally meaningful even when
+/// different shards absorb concurrently.
 ///
 /// Locking discipline: at most one shard lock is held at a time, always
 /// acquired and released within a single method — so there is no lock-order
-/// hazard between shards, and producers (transport worker threads) can never
-/// deadlock against consumers (the user thread driving the wait loops).
+/// hazard between shards, and producer threads can never deadlock against
+/// consumers (the thread driving the wait loops).
 #[derive(Debug)]
 pub struct ClaimShards {
     shards: Vec<Mutex<ClaimTable>>,

@@ -65,10 +65,9 @@ pub use thread_transport::{ThreadTransport, ThreadTuning};
 
 use crate::error::{CoreError, Result};
 use crate::ifunc::{IfuncHandle, IfuncLibrary, IfuncMessage};
-use crate::layout::result_slot_addr;
+use crate::layout::{result_slot_addr, RESULT_MAILBOX_SLOTS};
 use crate::metrics::RuntimeStats;
 use crate::runtime::{Completion, NativeAmHandler, NodeRuntime};
-use std::sync::Arc;
 use tc_bitir::TargetTriple;
 use tc_jit::OptLevel;
 use tc_simnet::Platform;
@@ -152,61 +151,6 @@ pub struct TransportMetrics {
     pub faults_injected: u64,
 }
 
-/// Borrowed view of a client runtime handed out by [`Transport::client`].
-///
-/// Backends whose runtimes live on the driving thread (sim, socket) hand out
-/// plain references; the threaded backend's runtimes are owned by per-client
-/// worker threads behind mutexes, so its guard holds the client's lock for
-/// the duration of the borrow.  Dereferences to [`NodeRuntime`], so call
-/// sites read through it unchanged — but holding a guard across a blocking
-/// wait would stall that client's worker thread; drop it promptly.
-pub enum ClientRef<'a> {
-    /// Runtime directly owned by the transport on the driving thread.
-    Direct(&'a NodeRuntime),
-    /// Runtime shared with a per-client worker thread; holds its lock.
-    Locked(std::sync::MutexGuard<'a, NodeRuntime>),
-}
-
-impl std::ops::Deref for ClientRef<'_> {
-    type Target = NodeRuntime;
-
-    fn deref(&self) -> &NodeRuntime {
-        match self {
-            ClientRef::Direct(runtime) => runtime,
-            ClientRef::Locked(guard) => guard,
-        }
-    }
-}
-
-/// Mutable counterpart of [`ClientRef`], handed out by
-/// [`Transport::client_mut`].
-pub enum ClientRefMut<'a> {
-    /// Runtime directly owned by the transport on the driving thread.
-    Direct(&'a mut NodeRuntime),
-    /// Runtime shared with a per-client worker thread; holds its lock.
-    Locked(std::sync::MutexGuard<'a, NodeRuntime>),
-}
-
-impl std::ops::Deref for ClientRefMut<'_> {
-    type Target = NodeRuntime;
-
-    fn deref(&self) -> &NodeRuntime {
-        match self {
-            ClientRefMut::Direct(runtime) => runtime,
-            ClientRefMut::Locked(guard) => guard,
-        }
-    }
-}
-
-impl std::ops::DerefMut for ClientRefMut<'_> {
-    fn deref_mut(&mut self) -> &mut NodeRuntime {
-        match self {
-            ClientRefMut::Direct(runtime) => runtime,
-            ClientRefMut::Locked(guard) => guard,
-        }
-    }
-}
-
 /// A pluggable cluster backend: hosts the node runtimes and moves fabric
 /// operations between them.
 ///
@@ -226,21 +170,11 @@ pub trait Transport {
         1
     }
 
-    /// A client runtime.  On backends whose runtimes are owned by worker
-    /// threads the returned guard holds that client's lock — see
-    /// [`ClientRef`].
-    fn client(&self, id: ClientId) -> ClientRef<'_>;
+    /// A client runtime.
+    fn client(&self, id: ClientId) -> &NodeRuntime;
 
-    /// Mutable client runtime (same locking semantics as
-    /// [`Transport::client`]).
-    fn client_mut(&mut self, id: ClientId) -> ClientRefMut<'_>;
-
-    /// Hand the transport the cluster's sharded claim table.  Backends whose
-    /// worker threads deliver completions off the driving thread deposit
-    /// straight into the shards (their [`Transport::take_completions`] then
-    /// returns nothing); the default is a no-op and completions keep flowing
-    /// through `take_completions`.
-    fn attach_claims(&mut self, _claims: &Arc<ClaimShards>) {}
+    /// Mutable client runtime.
+    fn client_mut(&mut self, id: ClientId) -> &mut NodeRuntime;
 
     /// Predeploy a native Active-Message handler on every node, assigning
     /// consistent handler ids cluster-wide.
@@ -349,14 +283,11 @@ impl Transport for Box<dyn Transport> {
     fn client_count(&self) -> usize {
         (**self).client_count()
     }
-    fn client(&self, id: ClientId) -> ClientRef<'_> {
+    fn client(&self, id: ClientId) -> &NodeRuntime {
         (**self).client(id)
     }
-    fn client_mut(&mut self, id: ClientId) -> ClientRefMut<'_> {
+    fn client_mut(&mut self, id: ClientId) -> &mut NodeRuntime {
         (**self).client_mut(id)
-    }
-    fn attach_claims(&mut self, claims: &Arc<ClaimShards>) {
-        (**self).attach_claims(claims)
     }
     fn deploy_am(&mut self, name: &str, handler: NativeAmHandler) -> Result<()> {
         (**self).deploy_am(name, handler)
@@ -501,17 +432,18 @@ impl ResultHandle {
     /// handle) — the allocator then skips it.  Unreserved manual slots are
     /// only safe if the driver never calls `result_slot()`.
     pub fn for_slot(slot: u64) -> Self {
-        ResultHandle {
-            client: ClientId::PRIMARY,
-            slot,
-        }
+        Self::for_client_slot(ClientId::PRIMARY, slot)
     }
 
     /// A handle for an explicitly chosen mailbox slot on client `client`.
     /// Each client owns an independent mailbox, so equal slot numbers on
-    /// different clients never collide.
+    /// different clients never collide.  A slot number past the mailbox
+    /// names the slot it wraps onto, as [`result_slot_addr`] maps it.
     pub fn for_client_slot(client: ClientId, slot: u64) -> Self {
-        ResultHandle { client, slot }
+        ResultHandle {
+            client,
+            slot: slot % RESULT_MAILBOX_SLOTS,
+        }
     }
 
     /// The mailbox slot this handle waits on (encode it into the ifunc
@@ -565,9 +497,9 @@ impl CompletionHandle for ResultHandle {
 /// at rank 0, servers at ranks `1..=server_count()`.
 pub struct Cluster<T: Transport> {
     transport: T,
-    /// The sharded completion table, shared with the transport (worker
-    /// threads of the threaded backend deposit into it directly).
-    claims: Arc<ClaimShards>,
+    /// The sharded completion table, filled from
+    /// [`Transport::take_completions`].
+    claims: ClaimShards,
     /// Per-client result-slot allocator state (indexed by client id).
     next_result_slot: Vec<u64>,
     reserved_slots: Vec<std::collections::HashSet<u64>>,
@@ -635,10 +567,9 @@ impl Idleness {
 
 impl<T: Transport> Cluster<T> {
     /// Wrap an already-constructed transport.  Prefer [`ClusterBuilder`].
-    pub fn new(mut transport: T) -> Self {
+    pub fn new(transport: T) -> Self {
         let clients = transport.client_count().max(1);
-        let claims = Arc::new(ClaimShards::new(clients));
-        transport.attach_claims(&claims);
+        let claims = ClaimShards::new(clients);
         Cluster {
             transport,
             claims,
@@ -695,26 +626,24 @@ impl<T: Transport> Cluster<T> {
         self.transport.client_count() + idx
     }
 
-    /// The primary client's runtime.  On the threaded backend the returned
-    /// guard holds that client's lock — drop it before driving the cluster.
-    pub fn client(&self) -> ClientRef<'_> {
+    /// The primary client's runtime.
+    pub fn client(&self) -> &NodeRuntime {
         self.transport.client(ClientId::PRIMARY)
     }
 
     /// Mutable primary-client runtime (escape hatch for source-side
     /// operations the high-level API does not cover).
-    pub fn client_mut(&mut self) -> ClientRefMut<'_> {
+    pub fn client_mut(&mut self) -> &mut NodeRuntime {
         self.transport.client_mut(ClientId::PRIMARY)
     }
 
-    /// The runtime of client `id` (locking semantics of
-    /// [`Cluster::client`]).
-    pub fn client_runtime(&self, id: ClientId) -> ClientRef<'_> {
+    /// The runtime of client `id`.
+    pub fn client_runtime(&self, id: ClientId) -> &NodeRuntime {
         self.transport.client(id)
     }
 
     /// Mutable runtime of client `id`.
-    pub fn client_runtime_mut(&mut self, id: ClientId) -> ClientRefMut<'_> {
+    pub fn client_runtime_mut(&mut self, id: ClientId) -> &mut NodeRuntime {
         self.transport.client_mut(id)
     }
 
@@ -1001,27 +930,39 @@ impl<T: Transport> Cluster<T> {
         Ok(())
     }
 
-    /// Allocate a fresh X-RDMA result-mailbox slot on the primary client.
-    /// Encode [`ResultHandle::slot`] into the ifunc payload, send, then
+    /// Allocate a result-mailbox slot on the primary client.  Encode
+    /// [`ResultHandle::slot`] into the ifunc payload, send, then
     /// [`Cluster::wait`] on the handle.  Slots reserved through
     /// [`Cluster::reserve_result_slot`] are skipped, so manually constructed
     /// handles never collide with allocated ones.
+    ///
+    /// The mailbox has [`RESULT_MAILBOX_SLOTS`] slots and the allocator
+    /// cycles through them, so at most that many results (4096) may be
+    /// outstanding per client: the next allocation after a full cycle
+    /// reuses the oldest slot.
     pub fn result_slot(&mut self) -> ResultHandle {
         self.result_slot_on(ClientId::PRIMARY)
     }
 
-    /// Allocate a fresh result-mailbox slot on client `client`.  Allocators
-    /// are per-client: each client owns an independent mailbox, so two
-    /// clients receiving results into equal slot numbers never interfere.
+    /// Allocate a result-mailbox slot on client `client` (the cycling rule
+    /// of [`Cluster::result_slot`]).  Allocators are per-client: each client
+    /// owns an independent mailbox, so two clients receiving results into
+    /// equal slot numbers never interfere.
+    ///
+    /// # Panics
+    ///
+    /// When every mailbox slot of `client` is reserved.
     pub fn result_slot_on(&mut self, client: ClientId) -> ResultHandle {
         let next = &mut self.next_result_slot[client.0];
         let reserved = &self.reserved_slots[client.0];
-        while reserved.contains(next) {
-            *next += 1;
+        for _ in 0..RESULT_MAILBOX_SLOTS {
+            let slot = *next;
+            *next = (slot + 1) % RESULT_MAILBOX_SLOTS;
+            if !reserved.contains(&slot) {
+                return ResultHandle { client, slot };
+            }
         }
-        let slot = *next;
-        *next += 1;
-        ResultHandle { client, slot }
+        panic!("every result mailbox slot of {client} is reserved")
     }
 
     /// Reserve an explicitly chosen mailbox slot on the primary client,
@@ -1034,18 +975,17 @@ impl<T: Transport> Cluster<T> {
 
     /// Reserve an explicitly chosen mailbox slot on client `client`.
     /// Reservations are per-client and never affect another client's
-    /// allocator.
+    /// allocator.  A slot number past the mailbox reserves the slot it
+    /// wraps onto (see [`ResultHandle::for_client_slot`]).
     pub fn reserve_result_slot_on(&mut self, client: ClientId, slot: u64) -> ResultHandle {
-        self.reserved_slots[client.0].insert(slot);
-        ResultHandle { client, slot }
+        let handle = ResultHandle::for_client_slot(client, slot);
+        self.reserved_slots[client.0].insert(handle.slot);
+        handle
     }
 
     // --- completion and progress --------------------------------------------
 
     fn absorb_completions(&mut self) {
-        // On transports whose worker threads deposit into the shards
-        // directly (post-`attach_claims`), `take_completions` returns
-        // nothing and this is a no-op sweep.
         for c in 0..self.transport.client_count() {
             let client = ClientId(c);
             let completions = self.transport.take_completions(client);

@@ -18,7 +18,7 @@
 //! execution) without re-instrumenting the runtime.
 
 use super::reliable::{LinkHealth, RelConfig, RelMetrics, ReliableSet};
-use super::{ClientId, ClientRef, ClientRefMut, Transport, TransportMetrics};
+use super::{ClientId, Transport, TransportMetrics};
 use crate::error::{CoreError, Result};
 use crate::metrics::{OutcomeKind, ProcessOutcome, RuntimeStats};
 use crate::runtime::{Completion, NativeAmHandler, NodeRuntime};
@@ -591,14 +591,14 @@ impl Transport for SimTransport {
         self.clients
     }
 
-    fn client(&self, id: ClientId) -> ClientRef<'_> {
+    fn client(&self, id: ClientId) -> &NodeRuntime {
         assert!(id.0 < self.clients, "no client with id {id}");
-        ClientRef::Direct(&self.nodes[id.0])
+        &self.nodes[id.0]
     }
 
-    fn client_mut(&mut self, id: ClientId) -> ClientRefMut<'_> {
+    fn client_mut(&mut self, id: ClientId) -> &mut NodeRuntime {
         assert!(id.0 < self.clients, "no client with id {id}");
-        ClientRefMut::Direct(&mut self.nodes[id.0])
+        &mut self.nodes[id.0]
     }
 
     fn deploy_am(&mut self, name: &str, handler: NativeAmHandler) -> Result<()> {

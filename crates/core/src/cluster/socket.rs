@@ -24,7 +24,7 @@
 //! a lossy socket.
 
 use super::reliable::{LinkHealth, RelConfig, RelMetrics, ReliableSet};
-use super::{wire, ClientId, ClientRef, ClientRefMut, Transport, TransportMetrics};
+use super::{wire, ClientId, Transport, TransportMetrics};
 use crate::error::{CoreError, Result};
 use crate::metrics::RuntimeStats;
 use crate::runtime::{Completion, NativeAmHandler, NodeRuntime};
@@ -1744,14 +1744,14 @@ impl Transport for SocketTransport {
         self.clients.len()
     }
 
-    fn client(&self, id: ClientId) -> ClientRef<'_> {
+    fn client(&self, id: ClientId) -> &NodeRuntime {
         assert!(id.0 < self.clients.len(), "no client with id {id}");
-        ClientRef::Direct(&self.clients[id.0])
+        &self.clients[id.0]
     }
 
-    fn client_mut(&mut self, id: ClientId) -> ClientRefMut<'_> {
+    fn client_mut(&mut self, id: ClientId) -> &mut NodeRuntime {
         assert!(id.0 < self.clients.len(), "no client with id {id}");
-        ClientRefMut::Direct(&mut self.clients[id.0])
+        &mut self.clients[id.0]
     }
 
     fn deploy_am(&mut self, name: &str, handler: NativeAmHandler) -> Result<()> {

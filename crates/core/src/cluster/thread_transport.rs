@@ -1,6 +1,6 @@
-//! The real-concurrency backend: server runtimes on OS threads, **client
-//! runtimes on their own OS threads too**, fabric operations as tagged
-//! envelopes over channels.
+//! The real-concurrency backend: server runtimes on OS threads, client
+//! runtimes on the caller's thread, fabric operations as tagged envelopes
+//! over channels.
 //!
 //! No virtual time is involved — this backend exists to show that the
 //! framework's state machines (auto-registration, sender-side caching,
@@ -12,52 +12,51 @@
 //! * Server rank `r` (ranks `clients..clients + servers`) runs as thread
 //!   node `r - clients` of a [`tc_simnet::ThreadCluster`] and drains its own
 //!   inbox independently.
-//! * Client rank `c` (ranks `0..clients`) owns a dedicated external port `c`
-//!   of the fabric.  A **client worker thread** parks on that port's queue
-//!   and handles all inbound traffic for the client: data-plane operations
-//!   are delivered into the client's [`NodeRuntime`], polled, and any
-//!   responses flushed back out; reliable-delivery frames and acks drive the
-//!   client's own [`ReliableSet`]; completions are deposited straight into
-//!   the cluster's sharded claim table (see [`Transport::attach_claims`]).
-//! * The **driver thread** (whoever owns the [`ThreadTransport`]) keeps the
-//!   *send* path: `flush_client` moves posted operations into the fabric
-//!   synchronously on the caller's thread, so a control-plane round trip
-//!   issued right after a flush still acts as a barrier behind that
-//!   client's data (both ride the same per-producer FIFO channel).  Driver
-//!   control traffic (peek/poke/stats) uses the shared external port
-//!   `clients`, which no worker owns.
+//! * Client rank `c` (ranks `0..clients`) is external port `c` of the
+//!   fabric.  Every external port feeds the cluster's one external queue,
+//!   and an envelope's `to` field names the port it was sent to.  The
+//!   [`ThreadTransport`] owns the client runtimes directly; clients start no
+//!   threads of their own.
+//! * The caller drives client-side progress, as the socket driver does.
+//!   `flush_client` moves posted operations into the fabric synchronously,
+//!   so a control round trip issued right after a flush acts as a barrier
+//!   behind that client's data (both ride the same per-producer FIFO
+//!   channel).  `step` drains the external queue on the caller's thread: it
+//!   busy-yields for a constant 300 µs spin window, then parks.  What arrives is
+//!   delivered into the client runtimes, polled, and any responses flushed
+//!   back out; reliable-delivery frames and acks drive the client's own
+//!   [`ReliableSet`]; completions stay buffered in the runtime until
+//!   [`Transport::take_completions`] drains them.
+//! * Control traffic (peek/poke/stats) and server error reports use external
+//!   port `clients`, which no client owns.  A control round trip processes
+//!   every data-plane envelope that reaches the queue while it waits.
 //!
-//! Each client's runtime lives behind a mutex that only its worker and the
-//! driver ever contend on; two different clients never share a lock, so N
-//! clients genuinely execute on N cores.  `step` no longer pumps any data —
-//! it parks on a progress generation that workers bump, and reports whether
-//! anything moved.
+//! A GET round trip therefore wakes two threads — the server's and the
+//! caller's — and the caller is usually still spinning when the reply lands.
 //!
 //! Active-Message deployment after startup works through a shared,
 //! append-only handler registry: every node applies new registry entries (in
 //! order) before handling each message, so `AmHandlerId`s agree cluster-wide
 //! without shipping closures through channels.
 
-use super::completion::ClaimShards;
 use super::reliable::{LinkHealth, RelConfig, RelMetrics, ReliableSet};
 use super::socket::most_stressed;
-use super::{wire, ClientRef, ClientRefMut, Transport, TransportMetrics};
+use super::{wire, Transport, TransportMetrics};
 use crate::error::{CoreError, Result};
 use crate::metrics::RuntimeStats;
 use crate::runtime::{Completion, NativeAmHandler, NodeRuntime};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
-use std::thread;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
 use tc_chaos::{ChaosSession, ChaosStats, FaultPlan};
 use tc_jit::{Memory, OptLevel};
 use tc_simnet::{
-    external_port, Envelope, EnvelopeFilter, ExternalQueue, Injector, NodeCtx, ThreadCluster,
-    ThreadConfig, ThreadedNode,
+    external_port, Envelope, EnvelopeFilter, Injector, NodeCtx, ThreadCluster, ThreadConfig,
+    ThreadedNode,
 };
-use tc_ucx::{Bytes, WorkerAddr};
+use tc_ucx::{Bytes, OutgoingMessage, WorkerAddr};
 
 use super::ClientId;
 
@@ -65,13 +64,11 @@ use super::ClientId;
 /// the cluster-wide handler ids.
 type AmRegistry = Arc<Mutex<Vec<(String, NativeAmHandler)>>>;
 
-/// Lock a mutex, recovering from poison: a worker that panicked mid-update
-/// may leave partial state, but every structure behind these locks is
-/// per-message (delivered ops, counters) and safe to keep using — losing the
-/// whole transport to a poisoned diagnostic lock would be worse.
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+/// How long one `step` busy-yields on the external queue before it parks.
+/// Equal to the socket driver's default spin window: a round trip to a
+/// server thread takes tens of microseconds, well below what a futex wake
+/// plus a reschedule of the caller costs.
+const SPIN_WINDOW: Duration = Duration::from_micros(300);
 
 /// Scheduling tunables of the threaded backend — every value that used to
 /// be a hard-coded constant, configurable through
@@ -79,32 +76,24 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// former behaviour exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadTuning {
-    /// How long one driver `step` parks on the worker-progress signal before
-    /// running its idleness checks.  Workers wake the driver the moment they
-    /// finish a batch (condvar notify), so this bounds *idle-detection*
-    /// latency only, not delivery latency.
+    /// How long one `step` parks on the external queue, after its 300 µs
+    /// spin window, before running its idleness checks.  The park wakes
+    /// the moment an envelope is enqueued, so this bounds *idle-detection*
+    /// latency only, not delivery latency.  In chaos mode the park is cut
+    /// into retransmission-tick slices so the clients' timers keep running.
     pub step_timeout: Duration,
-    /// Upper bound one `step` keeps waiting while node threads or client
-    /// workers are verifiably busy (messages enqueued or mid-processing)
-    /// without reporting progress.  Guards against a runaway ifunc wedging
-    /// the driver forever.
-    ///
-    /// Note: this knob predates the per-client worker threads (it used to
-    /// bound the driver's own receive loop, which no longer exists).  It is
-    /// retained — with unchanged semantics for the idle-confirmation loop —
-    /// so existing tunings keep working; new code should rarely need to
-    /// touch it, since client workers now make progress without the driver.
+    /// Upper bound one `step` keeps waiting while node threads are
+    /// verifiably busy (messages enqueued or mid-processing) without sending
+    /// anything to a client.  Guards against a runaway ifunc wedging the
+    /// caller forever.
     pub busy_step_timeout: Duration,
-    /// Most inbound envelopes a *client worker* drains per wakeup (batch
-    /// drain: one park, many messages).  Before the per-client worker
-    /// threads this bounded the driver's own external drain; the semantics
-    /// carried over to the workers unchanged.
+    /// Most external envelopes one `step` drains after its first arrival
+    /// (batch drain: one wakeup, many messages, one poll per client).
     pub step_batch: usize,
     /// Consecutive idle steps before waits give up.  A step only reports
-    /// idle after `step_timeout` of silence with zero pending node-bound or
-    /// worker-bound messages, so two suffice: the second covers the one-step
-    /// race where a worker finished a batch right as the first park timed
-    /// out.
+    /// idle after `step_timeout` of silence with zero pending node-bound
+    /// messages, so two suffice: the second covers the race where a node
+    /// enqueued a reply right as the first park timed out.
     pub idle_grace: u32,
     /// Most messages a *node thread* drains per wakeup (the former
     /// `MAX_BATCH` in `tc_simnet::threaded`).
@@ -145,8 +134,8 @@ fn rank_of(clients: usize, fabric_id: usize) -> usize {
 type StoredEnv = (Bytes, Bytes);
 
 /// Per-rank reliability counters published by their owner (the owning node
-/// thread for servers; the client's worker thread or the driver's flush path
-/// for clients) and read by the driver without taking any lock.
+/// thread for servers, the caller's thread for clients) and read by the
+/// caller without taking any lock.
 struct RelSlot {
     retransmits: AtomicU64,
     dup_drops: AtomicU64,
@@ -576,9 +565,7 @@ impl ServerNode {
 /// `clients` maps fabric ids to cluster ranks, so the per-link decision
 /// streams are drawn for the *true* (src rank, dst rank) pair — a send from
 /// client 1 and one from client 0 to the same server are different links,
-/// exactly as on the simulated backend.  Client-worker injections pass the
-/// same filter as node and driver sends, so moving the clients onto worker
-/// threads changes nothing about which traffic is faulted.
+/// exactly as on the simulated backend.
 fn chaos_filter(session: ChaosSession, clients: usize) -> EnvelopeFilter {
     let held: Mutex<HashMap<(usize, usize), Envelope>> = Mutex::new(HashMap::new());
     Arc::new(move |env: Envelope| {
@@ -615,391 +602,8 @@ fn chaos_filter(session: ChaosSession, clients: usize) -> EnvelopeFilter {
     })
 }
 
-/// One driver-side client: its runtime and (in chaos mode) its reliability
-/// state, each behind its own lock.  Only two threads ever touch a given
-/// client — its worker and the driver — so these locks are two-party and
-/// uncontended in steady state.
-///
-/// Lock discipline: `runtime` and `rel` are leaf locks (never held while
-/// acquiring another client's locks); `order` serialises whole
-/// flush-outgoing passes and is the only lock held across a sequence of
-/// sends (see [`flush_outgoing`]).
-struct ClientShared {
-    runtime: Mutex<NodeRuntime>,
-    /// Reliability state when a fault plan is installed; one independent
-    /// sequence space per (client, server) link, exactly as before.
-    rel: Option<Mutex<ReliableSet<StoredEnv>>>,
-    /// Flush serialiser: take-outgoing and the resulting sends must form one
-    /// critical section per client, or a driver `flush_client` racing the
-    /// client's worker could invert same-link wire order (e.g. ship a
-    /// cached-id ifunc frame ahead of the registration frame it needs).
-    order: Mutex<()>,
-}
-
-/// Worker→driver progress signal: a generation counter bumped after every
-/// batch of client-side work, with a condvar the driver's `step` parks on.
-struct Progress {
-    gen: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl Progress {
-    fn new() -> Self {
-        Progress {
-            gen: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn bump(&self) {
-        *relock(&self.gen) += 1;
-        self.cv.notify_all();
-    }
-
-    /// Wait until the generation moves past `seen` (or `timeout`).  Returns
-    /// the current generation and whether it advanced.
-    fn wait_past(&self, seen: u64, timeout: Duration) -> (u64, bool) {
-        let g = relock(&self.gen);
-        if *g != seen {
-            return (*g, true);
-        }
-        let (g, _) = self
-            .cv
-            .wait_timeout_while(g, timeout, |g| *g == seen)
-            .unwrap_or_else(|e| e.into_inner());
-        (*g, *g != seen)
-    }
-}
-
-/// State shared by the driver and every client worker thread.
-struct WorkerShared {
-    clients: Vec<ClientShared>,
-    servers: usize,
-    /// The cluster's sharded claim table, installed by
-    /// [`Transport::attach_claims`].  Until it is attached (or when the
-    /// transport is driven without a [`super::Cluster`]), completions stay
-    /// buffered in the client runtimes and flow through
-    /// [`Transport::take_completions`] as before.  A re-attach *replaces*
-    /// the table: `ClusterBuilder::build` wraps the transport in a
-    /// `Cluster` once per boxing layer, and only the outermost cluster's
-    /// table is live.
-    claims: RwLock<Option<Arc<ClaimShards>>>,
-    /// Errors reported by server nodes, client workers, or the driver's own
-    /// decode paths.
-    errors: Mutex<Vec<CoreError>>,
-    progress: Progress,
-    stop: AtomicBool,
-    /// Shared reliability counter table (chaos mode only).
-    rel_table: Option<Arc<RelTable>>,
-    /// Transport-clock origin; shared with the reliability layer's
-    /// timestamps in chaos mode.
-    epoch: Instant,
-}
-
-impl WorkerShared {
-    fn now(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    fn push_error(&self, e: CoreError) {
-        relock(&self.errors).push(e);
-    }
-
-    /// Move client `c`'s buffered completions into the sharded claim table,
-    /// if one is attached.
-    fn deposit_completions(&self, c: usize) {
-        let claims = self
-            .claims
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        let Some(claims) = claims else {
-            return;
-        };
-        let completions = relock(&self.clients[c].runtime).take_completions();
-        if !completions.is_empty() {
-            claims.absorb(ClientId(c), completions);
-        }
-    }
-
-    /// Publish client `c`'s reliability counters to the shared table.
-    fn publish_rel(&self, c: usize) {
-        if let (Some(table), Some(rel)) = (&self.rel_table, &self.clients[c].rel) {
-            table.publish(c, &relock(rel));
-        }
-    }
-}
-
-/// Move everything client `origin` posted into the threaded fabric, looping
-/// until the outgoing queues are quiescent.  Client-to-client traffic
-/// (including client-to-self) is delivered locally — under the *destination*
-/// runtime's lock only, never two runtime locks at once — and may post
-/// follow-on operations (GET replies, result writes) that go out in the same
-/// flush, possibly from a different client than the origin.
-///
-/// Callable from the driver (`flush_client`) and from client workers
-/// (response flushing) alike; the per-client `order` lock keeps concurrent
-/// flushers of the *same* client from interleaving their take/send windows.
-fn flush_outgoing(shared: &WorkerShared, injector: &Injector, origin: usize) {
-    let clients = shared.clients.len();
-    let mut dirty = vec![origin];
-    while let Some(c) = dirty.pop() {
-        let _order = relock(&shared.clients[c].order);
-        loop {
-            let outgoing = relock(&shared.clients[c].runtime).take_outgoing();
-            if outgoing.is_empty() {
-                break;
-            }
-            for msg in outgoing {
-                let dst = msg.dst.index();
-                if dst < clients {
-                    // Client-to-client delivery: execute locally (loopback
-                    // class, like the simulated backend's self-delivery —
-                    // never faulted).
-                    let mut errs = Vec::new();
-                    {
-                        let mut rt = relock(&shared.clients[dst].runtime);
-                        rt.deliver(msg);
-                        for outcome in rt.poll(usize::MAX) {
-                            if let Err(e) = outcome {
-                                errs.push(e);
-                            }
-                        }
-                    }
-                    for e in errs {
-                        shared.push_error(e);
-                    }
-                    shared.deposit_completions(dst);
-                    if dst != c && !dirty.contains(&dst) {
-                        dirty.push(dst);
-                    }
-                    continue;
-                }
-                // Server-bound: thread node ids are rank - clients.  Drops
-                // (unknown rank, stopped node) are recorded in the cluster's
-                // counters and show up in the transport metrics, mirroring
-                // the fabric's lossy-but-accounted model.
-                let (head, payload) = wire::encode_op_vectored(&msg);
-                match &shared.clients[c].rel {
-                    Some(rel) if dst < clients + shared.servers => {
-                        let now = shared.now();
-                        let (seq, ack) =
-                            relock(rel).send(dst as u32, (head.clone(), payload.clone()), now);
-                        let data = wire::encode_rel_head(seq, ack, &head);
-                        let _ = injector.send_vectored_from_port(
-                            c,
-                            dst - clients,
-                            wire::TAG_ROP,
-                            data,
-                            payload,
-                        );
-                    }
-                    _ => {
-                        // Lossless — or misaddressed in chaos mode, which
-                        // skips reliability (it would retransmit forever)
-                        // and lets the fabric count the drop.
-                        let _ = injector.send_vectored_from_port(
-                            c,
-                            dst - clients,
-                            wire::TAG_OP,
-                            head,
-                            payload,
-                        );
-                    }
-                }
-            }
-        }
-        shared.publish_rel(c);
-    }
-}
-
-/// Poll everything delivered to client `c`'s runtime, flush whatever it
-/// posted in response, and deposit its completions.
-fn pump_client(shared: &WorkerShared, injector: &Injector, c: usize) {
-    let mut errs = Vec::new();
-    {
-        let mut rt = relock(&shared.clients[c].runtime);
-        for outcome in rt.poll(usize::MAX) {
-            if let Err(e) = outcome {
-                errs.push(e);
-            }
-        }
-    }
-    for e in errs {
-        shared.push_error(e);
-    }
-    flush_outgoing(shared, injector, c);
-    shared.deposit_completions(c);
-}
-
-/// Everything one client worker thread needs.
-struct WorkerCtx {
-    /// The client rank this worker owns (also its external port).
-    id: usize,
-    queue: ExternalQueue,
-    shared: Arc<WorkerShared>,
-    injector: Injector,
-    /// Most envelopes drained per wakeup ([`ThreadTuning::step_batch`]).
-    batch: usize,
-    /// Receive-park bound: doubles as the stop-flag poll interval and (in
-    /// chaos mode) the retransmission-tick cadence floor.
-    park: Duration,
-    /// Retransmission cadence when a fault plan is installed.
-    tick: Option<Duration>,
-}
-
-/// Run client `ctx.id`'s retransmission timer.
-fn tick_rel(ctx: &WorkerCtx) {
-    let shared = &*ctx.shared;
-    let c = ctx.id;
-    let clients = shared.clients.len();
-    let Some(rel) = &shared.clients[c].rel else {
-        return;
-    };
-    let now = shared.now();
-    let frames = relock(rel).tick(now);
-    for f in frames {
-        let peer = f.peer as usize;
-        if peer < clients {
-            continue; // loopback links never enter the reliable layer
-        }
-        let data = wire::encode_rel_head(f.seq, f.ack, &f.m.0);
-        let _ = ctx
-            .injector
-            .send_vectored_from_port(c, peer - clients, wire::TAG_ROP, data, f.m.1);
-    }
-    shared.publish_rel(c);
-}
-
-/// Handle one batch of inbound envelopes for this worker's client.  Marks
-/// every client runtime that received operations in `staged` (the op head
-/// carries the true destination rank; in practice that is this worker's own
-/// client, but a misrouted head is delivered where it says, as the old
-/// driver loop did).
-fn process_batch(ctx: &WorkerCtx, staged: &mut [bool], batch: Vec<Envelope>) {
-    let shared = &*ctx.shared;
-    let c = ctx.id;
-    let clients = shared.clients.len();
-    for env in batch {
-        match env.tag {
-            wire::TAG_OP => match wire::decode_op_vectored(&env.data, &env.payload) {
-                Ok(msg) if msg.dst.index() < clients => {
-                    let dst = msg.dst.index();
-                    relock(&shared.clients[dst].runtime).deliver(msg);
-                    staged[dst] = true;
-                }
-                Ok(msg) => shared.push_error(CoreError::Transport(format!(
-                    "driver received an operation for non-client rank {}",
-                    msg.dst.index()
-                ))),
-                Err(e) => shared.push_error(e),
-            },
-            wire::TAG_ROP => {
-                let Some(rel) = &shared.clients[c].rel else {
-                    shared.push_error(CoreError::Transport(
-                        "reliable envelope without a fault plan".into(),
-                    ));
-                    continue;
-                };
-                let src = rank_of(clients, env.from);
-                let (seq, ack, head) = match wire::decode_rel_head(&env.data) {
-                    Ok(parts) => parts,
-                    Err(e) => {
-                        shared.push_error(e);
-                        continue;
-                    }
-                };
-                let now = shared.now();
-                let out = relock(rel).on_data(src as u32, seq, ack, (head, env.payload), now);
-                if src >= clients && src < clients + shared.servers {
-                    let _ = ctx.injector.send_from_port(
-                        c,
-                        src - clients,
-                        wire::TAG_ACK,
-                        wire::encode_ack(out.ack),
-                    );
-                }
-                shared.publish_rel(c);
-                for (h, p) in out.deliver {
-                    match wire::decode_op_vectored(&h, &p) {
-                        Ok(msg) if msg.dst.index() < clients => {
-                            let dst = msg.dst.index();
-                            relock(&shared.clients[dst].runtime).deliver(msg);
-                            staged[dst] = true;
-                        }
-                        Ok(msg) => shared.push_error(CoreError::Transport(format!(
-                            "driver received an operation for non-client rank {}",
-                            msg.dst.index()
-                        ))),
-                        Err(e) => shared.push_error(e),
-                    }
-                }
-            }
-            wire::TAG_ACK => {
-                if let (Some(rel), Ok(ack)) = (&shared.clients[c].rel, wire::decode_ack(&env.data))
-                {
-                    let now = shared.now();
-                    relock(rel).on_ack(rank_of(clients, env.from) as u32, ack, now);
-                    shared.publish_rel(c);
-                }
-            }
-            wire::TAG_ERROR => shared.push_error(CoreError::Transport(
-                String::from_utf8_lossy(&env.data).into_owned(),
-            )),
-            // Control replies never arrive here (the driver owns its own
-            // port); anything else is stale and dropped.
-            _ => {}
-        }
-    }
-}
-
-/// The body of one client worker thread: park on the client's dedicated
-/// external queue, process inbound batches, run the retransmission timer,
-/// and signal the driver after every batch.  In-flight accounting
-/// (`ExternalQueue::done`) is released only after the batch is fully
-/// processed — delivered, polled, flushed, deposited — so the driver's
-/// quiescence detection spans worker processing, not just queue emptiness.
-fn run_worker(ctx: WorkerCtx) {
-    let clients = ctx.shared.clients.len();
-    let mut staged = vec![false; clients];
-    let mut last_tick = Instant::now();
-    loop {
-        if ctx.shared.stop.load(Ordering::SeqCst) {
-            ctx.queue.drain();
-            return;
-        }
-        if let Some(env) = ctx.queue.recv_timeout(ctx.park) {
-            // Drain the burst behind the first envelope: one park, one batch.
-            let mut batch = vec![env];
-            while batch.len() < ctx.batch {
-                match ctx.queue.try_recv() {
-                    Some(env) => batch.push(env),
-                    None => break,
-                }
-            }
-            let n = batch.len() as u64;
-            process_batch(&ctx, &mut staged, batch);
-            for (dst, dirty) in staged.iter_mut().enumerate() {
-                if std::mem::take(dirty) {
-                    pump_client(&ctx.shared, &ctx.injector, dst);
-                }
-            }
-            ctx.queue.done(n);
-            ctx.shared.progress.bump();
-        }
-        // The retransmission timer runs on its cadence whether or not
-        // traffic flows (a parked envelope is recovered by the re-send).
-        if let Some(tick) = ctx.tick {
-            if last_tick.elapsed() >= tick {
-                last_tick = Instant::now();
-                tick_rel(&ctx);
-            }
-        }
-    }
-}
-
-/// Driver-side chaos state: the shared fault session and the counter table
-/// (per-client reliability lives with the clients in [`ClientShared`]).
+/// Chaos-mode state of the transport: the shared fault session, the counter
+/// table, and each client's reliability state.
 struct DriverChaos {
     session: ChaosSession,
     table: Arc<RelTable>,
@@ -1007,19 +611,21 @@ struct DriverChaos {
     /// silence a healthy-but-lossy link can exhibit between retransmission
     /// rounds.  Quiescence detection must out-wait several of these.
     rto_max: u64,
+    /// One reliable set per client: an independent sequence space per
+    /// (client, server) link.
+    clients: Vec<ReliableSet<StoredEnv>>,
+    /// Retransmission cadence of the client timers.
+    tick: Duration,
+    last_tick: Instant,
 }
 
 /// The real-concurrency cluster backend (threads + channels, wall-clock time).
 pub struct ThreadTransport {
-    /// Client runtimes and reliability state, shared with the client worker
-    /// threads.
-    shared: Arc<WorkerShared>,
-    /// One worker thread per client, each owning that client's dedicated
-    /// external queue.
-    workers: Vec<thread::JoinHandle<()>>,
+    /// Client runtimes, indexed by client rank.
+    clients: Vec<NodeRuntime>,
     /// `None` once shut down (threads joined).
     cluster: Option<ThreadCluster>,
-    /// Injection handle for the driver's own synchronous send path.
+    /// Send handle of the client ports.
     injector: Injector,
     /// Delivery counters captured at shutdown so `metrics` stays meaningful.
     final_metrics: tc_simnet::ThreadMetrics,
@@ -1027,34 +633,36 @@ pub struct ThreadTransport {
     am_registry: AmRegistry,
     next_token: u64,
     tuning: ThreadTuning,
-    /// Chaos-mode state (fault session + counter table); `None` keeps the
-    /// lossless fast path.
+    /// Chaos-mode state; `None` keeps the lossless fast path.
     chaos: Option<DriverChaos>,
     /// Transport-clock origin ([`Transport::now_nanos`] measures from here).
     epoch: Instant,
     /// Since when `step` has seen zero progress while reliability frames
     /// stay unacked (chaos mode).  Bounds how long outstanding
-    /// retransmissions can keep the driver reporting "busy" — a frame that
+    /// retransmissions can keep the caller reporting "busy" — a frame that
     /// can never be acked (e.g. a dead node thread) must eventually let
     /// waits time out instead of spinning forever.
     stalled_since: Option<Instant>,
-    /// Last observed worker-progress generation.
-    seen_gen: u64,
+    /// Errors reported by server nodes or the client-side decode paths.
+    errors: Vec<CoreError>,
+    /// Per-client "received operations, needs a poll" flags (scratch reused
+    /// across batches).
+    staged: Vec<bool>,
 }
 
 impl std::fmt::Debug for ThreadTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadTransport")
-            .field("clients", &self.shared.clients.len())
+            .field("clients", &self.clients.len())
             .field("servers", &self.servers)
-            .field("errors", &relock(&self.shared.errors).len())
+            .field("errors", &self.errors.len())
             .finish()
     }
 }
 
 impl ThreadTransport {
-    /// Start a backend with one client (rank 0, on its own worker thread)
-    /// and `servers` threaded server nodes (ranks 1..=servers).
+    /// Start a backend with one client (rank 0) and `servers` threaded
+    /// server nodes (ranks 1..=servers).
     pub fn new(servers: usize, client_triple: TargetTriple, server_triple: TargetTriple) -> Self {
         Self::with_opt(servers, client_triple, server_triple, OptLevel::O2)
     }
@@ -1079,13 +687,13 @@ impl ThreadTransport {
     }
 
     /// Full-control constructor used by the cluster builder: `clients`
-    /// client runtimes (ranks `0..clients`, one worker thread each),
-    /// `servers` threaded server nodes (ranks `clients..clients+servers`),
-    /// scheduling tunables plus an optional fault plan.  With a plan
-    /// installed, every data-plane envelope passes the chaos engine's
-    /// envelope filter and travels over the reliable-delivery layer
-    /// (sequence numbers, cumulative acks, retransmission, dedup) — with one
-    /// independent sequence space per (client, server) link.
+    /// client runtimes (ranks `0..clients`), `servers` threaded server nodes
+    /// (ranks `clients..clients+servers`), scheduling tunables plus an
+    /// optional fault plan.  With a plan installed, every data-plane
+    /// envelope passes the chaos engine's envelope filter and travels over
+    /// the reliable-delivery layer (sequence numbers, cumulative acks,
+    /// retransmission, dedup) — with one independent sequence space per
+    /// (client, server) link.
     #[allow(clippy::too_many_arguments)]
     pub fn with_config(
         clients: usize,
@@ -1108,23 +716,22 @@ impl ThreadTransport {
             session: ChaosSession::new(plan),
             table: Arc::new(RelTable::new(servers + clients)),
             rto_max: rel_cfg.rto_max,
+            clients: (0..clients).map(|_| ReliableSet::new(rel_cfg)).collect(),
+            tick: Duration::from_nanos(rel_cfg.rto / 2),
+            last_tick: epoch,
         });
-        let tick = chaos
-            .as_ref()
-            .map(|_| Duration::from_nanos(rel_cfg.rto / 2));
 
         let mut config = ThreadConfig {
             max_batch: tuning.node_batch,
-            dedicated_external_ports: clients,
             ..ThreadConfig::default()
         };
         let node_chaos = chaos.as_ref().map(|c| {
-            config.tick = tick;
+            config.tick = Some(c.tick);
             config.filter = Some(chaos_filter(c.session.clone(), clients));
             Arc::clone(&c.table)
         });
 
-        let mut cluster = ThreadCluster::start_with_config(servers, config, move |thread_id| {
+        let cluster = ThreadCluster::start_with_config(servers, config, move |thread_id| {
             let rank = (thread_id + clients) as u32;
             ServerNode {
                 runtime: NodeRuntime::with_opt_level(
@@ -1145,60 +752,19 @@ impl ThreadTransport {
             }
         });
 
-        let shared = Arc::new(WorkerShared {
+        ThreadTransport {
             clients: (0..clients)
-                .map(|c| ClientShared {
-                    runtime: Mutex::new(NodeRuntime::with_opt_level(
+                .map(|c| {
+                    NodeRuntime::with_opt_level(
                         WorkerAddr(c as u32),
                         total,
                         client_triple,
                         opt_level,
-                    )),
-                    rel: chaos
-                        .as_ref()
-                        .map(|_| Mutex::new(ReliableSet::new(rel_cfg))),
-                    order: Mutex::new(()),
+                    )
                 })
                 .collect(),
-            servers,
-            claims: RwLock::new(None),
-            errors: Mutex::new(Vec::new()),
-            progress: Progress::new(),
-            stop: AtomicBool::new(false),
-            rel_table: chaos.as_ref().map(|c| Arc::clone(&c.table)),
-            epoch,
-        });
-
-        let injector = cluster.injector();
-        let park = tick
-            .map(|t| t.min(tuning.step_timeout))
-            .unwrap_or(tuning.step_timeout)
-            .max(Duration::from_micros(50));
-        let workers = (0..clients)
-            .map(|c| {
-                let ctx = WorkerCtx {
-                    id: c,
-                    queue: cluster
-                        .take_external_queue(c)
-                        .expect("dedicated client queue"),
-                    shared: Arc::clone(&shared),
-                    injector: injector.clone(),
-                    batch: tuning.step_batch.max(1),
-                    park,
-                    tick,
-                };
-                thread::Builder::new()
-                    .name(format!("tc-client-{c}"))
-                    .spawn(move || run_worker(ctx))
-                    .expect("spawn client worker thread")
-            })
-            .collect();
-
-        ThreadTransport {
-            shared,
-            workers,
+            injector: cluster.injector(),
             cluster: Some(cluster),
-            injector,
             final_metrics: tc_simnet::ThreadMetrics::default(),
             servers,
             am_registry,
@@ -1207,7 +773,8 @@ impl ThreadTransport {
             chaos,
             epoch,
             stalled_since: None,
-            seen_gen: 0,
+            errors: Vec::new(),
+            staged: vec![false; clients],
         }
     }
 
@@ -1221,30 +788,232 @@ impl ThreadTransport {
         self.chaos.as_ref().and_then(|c| c.table.snapshot(rank))
     }
 
-    /// Errors reported by server nodes, client workers, or transport-level
-    /// decode failures, in observation order (a snapshot — the shared list
-    /// keeps growing while workers run).
+    /// Errors reported by server nodes or transport-level decode failures,
+    /// in observation order.
     pub fn errors(&self) -> Vec<CoreError> {
-        relock(&self.shared.errors).clone()
+        self.errors.clone()
     }
 
-    /// Handle a non-reply envelope that reached the driver's control port
-    /// (error reports, stale control replies).
-    fn on_driver_envelope(&self, env: Envelope) {
-        if env.tag == wire::TAG_ERROR {
-            self.shared.push_error(CoreError::Transport(
-                String::from_utf8_lossy(&env.data).into_owned(),
-            ));
+    fn now(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Longest single park on the external queue: the step timeout, cut to
+    /// the retransmission tick in chaos mode.
+    fn park_slice(&self) -> Duration {
+        let step = self.tuning.step_timeout;
+        self.chaos.as_ref().map_or(step, |c| c.tick.min(step))
+    }
+
+    /// Publish client `c`'s reliability counters to the shared table.
+    fn publish_rel(&self, c: usize) {
+        if let Some(chaos) = &self.chaos {
+            chaos.table.publish(c, &chaos.clients[c]);
         }
-        // Stale control replies (from a timed-out request) are dropped; live
-        // ones are intercepted by `control_roundtrip` before this.
+    }
+
+    /// Run the clients' retransmission timers when their tick is due.
+    fn client_tick(&mut self) {
+        let clients = self.clients.len();
+        let Some(chaos) = &mut self.chaos else {
+            return;
+        };
+        if chaos.last_tick.elapsed() < chaos.tick {
+            return;
+        }
+        chaos.last_tick = Instant::now();
+        let now = self.epoch.elapsed().as_nanos() as u64;
+        for (c, set) in chaos.clients.iter_mut().enumerate() {
+            for f in set.tick(now) {
+                let peer = f.peer as usize;
+                if peer < clients {
+                    continue; // loopback links never enter the reliable layer
+                }
+                let data = wire::encode_rel_head(f.seq, f.ack, &f.m.0);
+                let _ = self.injector.send_vectored_from_port(
+                    c,
+                    peer - clients,
+                    wire::TAG_ROP,
+                    data,
+                    f.m.1,
+                );
+            }
+            chaos.table.publish(c, set);
+        }
+    }
+
+    /// Move everything client `origin` posted into the threaded fabric,
+    /// looping until the outgoing queues are quiescent.  Client-to-client
+    /// traffic (including client-to-self) is delivered locally and may post
+    /// follow-on operations (GET replies, result writes) that go out in the
+    /// same flush, possibly from a different client than the origin.
+    fn flush_outgoing(&mut self, origin: usize) {
+        let clients = self.clients.len();
+        let servers = self.servers;
+        let mut dirty = vec![origin];
+        while let Some(c) = dirty.pop() {
+            loop {
+                let outgoing = self.clients[c].take_outgoing();
+                if outgoing.is_empty() {
+                    break;
+                }
+                for msg in outgoing {
+                    let dst = msg.dst.index();
+                    if dst < clients {
+                        // Client-to-client delivery: execute locally
+                        // (loopback class, like the simulated backend's
+                        // self-delivery — never faulted).
+                        let runtime = &mut self.clients[dst];
+                        runtime.deliver(msg);
+                        for outcome in runtime.poll(usize::MAX) {
+                            if let Err(e) = outcome {
+                                self.errors.push(e);
+                            }
+                        }
+                        if dst != c && !dirty.contains(&dst) {
+                            dirty.push(dst);
+                        }
+                        continue;
+                    }
+                    // Server-bound: thread node ids are rank - clients.
+                    // Drops (unknown rank, stopped node) are recorded in the
+                    // cluster's counters and show up in the transport
+                    // metrics, mirroring the fabric's lossy-but-accounted
+                    // model.
+                    let (head, payload) = wire::encode_op_vectored(&msg);
+                    let now = self.now();
+                    match &mut self.chaos {
+                        Some(chaos) if dst < clients + servers => {
+                            let (seq, ack) = chaos.clients[c].send(
+                                dst as u32,
+                                (head.clone(), payload.clone()),
+                                now,
+                            );
+                            let data = wire::encode_rel_head(seq, ack, &head);
+                            let _ = self.injector.send_vectored_from_port(
+                                c,
+                                dst - clients,
+                                wire::TAG_ROP,
+                                data,
+                                payload,
+                            );
+                        }
+                        _ => {
+                            // Lossless — or misaddressed in chaos mode, which
+                            // skips reliability (it would retransmit forever)
+                            // and lets the fabric count the drop.
+                            let _ = self.injector.send_vectored_from_port(
+                                c,
+                                dst - clients,
+                                wire::TAG_OP,
+                                head,
+                                payload,
+                            );
+                        }
+                    }
+                }
+            }
+            self.publish_rel(c);
+        }
+    }
+
+    /// Deliver a decoded client-bound operation into its destination
+    /// runtime (the op head carries the true destination rank) and mark that
+    /// client for a poll.
+    fn deliver_op(&mut self, op: Result<OutgoingMessage>) {
+        match op {
+            Ok(msg) if msg.dst.index() < self.clients.len() => {
+                let dst = msg.dst.index();
+                self.clients[dst].deliver(msg);
+                self.staged[dst] = true;
+            }
+            Ok(msg) => self.errors.push(CoreError::Transport(format!(
+                "driver received an operation for non-client rank {}",
+                msg.dst.index()
+            ))),
+            Err(e) => self.errors.push(e),
+        }
+    }
+
+    /// Handle one envelope from the external queue.  `Envelope::to` names
+    /// the port it was sent to: client `c`'s reliable frames and acks drive
+    /// that client's reliable set.
+    fn on_external(&mut self, env: Envelope) {
+        let clients = self.clients.len();
+        match env.tag {
+            wire::TAG_OP => self.deliver_op(wire::decode_op_vectored(&env.data, &env.payload)),
+            wire::TAG_ROP => {
+                let c = external_port(env.to).unwrap_or(clients);
+                let now = self.now();
+                let Some(set) = self.chaos.as_mut().and_then(|ch| ch.clients.get_mut(c)) else {
+                    self.errors.push(CoreError::Transport(
+                        "reliable envelope without a fault plan".into(),
+                    ));
+                    return;
+                };
+                let (seq, ack, head) = match wire::decode_rel_head(&env.data) {
+                    Ok(parts) => parts,
+                    Err(e) => {
+                        self.errors.push(e);
+                        return;
+                    }
+                };
+                let src = rank_of(clients, env.from);
+                let out = set.on_data(src as u32, seq, ack, (head, env.payload), now);
+                if src >= clients && src < clients + self.servers {
+                    let _ = self.injector.send_from_port(
+                        c,
+                        src - clients,
+                        wire::TAG_ACK,
+                        wire::encode_ack(out.ack),
+                    );
+                }
+                self.publish_rel(c);
+                for (h, p) in out.deliver {
+                    self.deliver_op(wire::decode_op_vectored(&h, &p));
+                }
+            }
+            wire::TAG_ACK => {
+                let c = external_port(env.to).unwrap_or(clients);
+                let now = self.now();
+                let set = self.chaos.as_mut().and_then(|ch| ch.clients.get_mut(c));
+                if let (Some(set), Ok(ack)) = (set, wire::decode_ack(&env.data)) {
+                    set.on_ack(rank_of(clients, env.from) as u32, ack, now);
+                    self.publish_rel(c);
+                }
+            }
+            wire::TAG_ERROR => self.errors.push(CoreError::Transport(
+                String::from_utf8_lossy(&env.data).into_owned(),
+            )),
+            // Stale control replies (from a timed-out request); live ones
+            // are intercepted by `control_roundtrip` before this.
+            _ => {}
+        }
+    }
+
+    /// Handle a batch of external envelopes, then poll every client that
+    /// received operations and flush whatever it posted in response.
+    fn process(&mut self, batch: impl IntoIterator<Item = Envelope>) {
+        for env in batch {
+            self.on_external(env);
+        }
+        for c in 0..self.clients.len() {
+            if !std::mem::take(&mut self.staged[c]) {
+                continue;
+            }
+            for outcome in self.clients[c].poll(usize::MAX) {
+                if let Err(e) = outcome {
+                    self.errors.push(e);
+                }
+            }
+            self.flush_outgoing(c);
+        }
     }
 
     /// Issue a control request to server `rank` and wait for its tokened
-    /// reply.  The request is sent from the driver's own control port
-    /// (`clients`), so the reply comes back on the shared queue no worker
-    /// owns; data-plane traffic keeps flowing through the workers in the
-    /// meantime.
+    /// reply.  The request is sent from the control port (`clients`), so the
+    /// reply comes back on the external queue; every other envelope that
+    /// arrives in the meantime is processed, not dropped.
     fn control_roundtrip(
         &mut self,
         rank: usize,
@@ -1252,7 +1021,7 @@ impl ThreadTransport {
         reply_tag: u64,
         body: &[u8],
     ) -> Result<Vec<u8>> {
-        let clients = self.shared.clients.len();
+        let clients = self.clients.len();
         if rank < clients || rank >= clients + self.servers {
             return Err(CoreError::Transport(format!(
                 "control request addressed to invalid rank {rank} ({}..={} expected)",
@@ -1260,17 +1029,17 @@ impl ThreadTransport {
                 clients + self.servers - 1
             )));
         }
+        if self.cluster.is_none() {
+            return Err(CoreError::Transport("thread transport is shut down".into()));
+        }
         let token = self.next_token;
         self.next_token += 1;
-        let status = match &self.cluster {
-            Some(cluster) => cluster.send_from_port(
-                clients,
-                rank - clients,
-                request_tag,
-                wire::encode_control(token, body),
-            ),
-            None => return Err(CoreError::Transport("thread transport is shut down".into())),
-        };
+        let status = self.injector.send_from_port(
+            clients,
+            rank - clients,
+            request_tag,
+            wire::encode_control(token, body),
+        );
         if !status.is_delivered() {
             return Err(CoreError::Transport(format!(
                 "control request to rank {rank} not delivered: {status:?}"
@@ -1284,8 +1053,10 @@ impl ThreadTransport {
                     what: format!("control reply (tag {reply_tag}) from rank {rank}"),
                 });
             }
+            self.client_tick();
+            let park = remaining.min(self.park_slice());
             let env = match &self.cluster {
-                Some(cluster) => cluster.recv_external(remaining),
+                Some(cluster) => cluster.recv_external(park),
                 None => return Err(CoreError::Transport("thread transport is shut down".into())),
             };
             let Some(env) = env else {
@@ -1299,7 +1070,7 @@ impl ThreadTransport {
                     continue; // stale reply from an abandoned request
                 }
             }
-            self.on_driver_envelope(env);
+            self.process([env]);
         }
     }
 }
@@ -1309,60 +1080,45 @@ impl Transport for ThreadTransport {
         "threads"
     }
 
-    /// Per-link reliability health, assembled **without blocking any client
-    /// worker**: every rank — clients included — reports the most-stressed
-    /// link it last published to the shared atomic table (one row per rank).
-    /// Rows are read field-by-field with relaxed loads, so a snapshot may
-    /// tear between fields of a row that is being republished concurrently;
-    /// the values are diagnostic and each field is individually recent.
+    /// Per-link reliability health: every rank — clients included — reports
+    /// the most-stressed link it last published to the shared atomic table
+    /// (one row per rank).  Server rows are read field-by-field with relaxed
+    /// loads while their node threads may republish them, so a row may tear
+    /// between fields; the values are diagnostic and each field is
+    /// individually recent.
     fn link_health(&self) -> Vec<(u32, LinkHealth)> {
         let Some(chaos) = &self.chaos else {
             return Vec::new();
         };
-        let ranks = self.shared.clients.len() + self.servers;
+        let ranks = self.clients.len() + self.servers;
         (0..ranks)
             .filter_map(|rank| chaos.table.health_snapshot(rank).map(|h| (rank as u32, h)))
             .collect()
     }
 
     fn node_count(&self) -> usize {
-        self.servers + self.shared.clients.len()
+        self.servers + self.clients.len()
     }
 
     fn client_count(&self) -> usize {
-        self.shared.clients.len()
+        self.clients.len()
     }
 
-    fn client(&self, id: ClientId) -> ClientRef<'_> {
-        assert!(id.0 < self.shared.clients.len(), "no client with id {id}");
-        ClientRef::Locked(relock(&self.shared.clients[id.0].runtime))
+    fn client(&self, id: ClientId) -> &NodeRuntime {
+        assert!(id.0 < self.clients.len(), "no client with id {id}");
+        &self.clients[id.0]
     }
 
-    fn client_mut(&mut self, id: ClientId) -> ClientRefMut<'_> {
-        assert!(id.0 < self.shared.clients.len(), "no client with id {id}");
-        ClientRefMut::Locked(relock(&self.shared.clients[id.0].runtime))
-    }
-
-    fn attach_claims(&mut self, claims: &Arc<ClaimShards>) {
-        // Workers pick the table up through the shared slot and start
-        // depositing completions directly; `take_completions` then drains
-        // whatever (rare) residue is still buffered runtime-side.  Replace,
-        // don't set-once: `ClusterBuilder::build` wraps the transport in a
-        // `Cluster` twice (once typed, once boxed) and only the outer
-        // cluster's table is ever read.
-        *self
-            .shared
-            .claims
-            .write()
-            .unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(claims));
+    fn client_mut(&mut self, id: ClientId) -> &mut NodeRuntime {
+        assert!(id.0 < self.clients.len(), "no client with id {id}");
+        &mut self.clients[id.0]
     }
 
     fn deploy_am(&mut self, name: &str, handler: NativeAmHandler) -> Result<()> {
-        // Clients apply immediately (under their runtime locks); servers
-        // catch up (in registry order, hence with identical handler ids)
-        // before their next message.
-        for client in &self.shared.clients {
-            relock(&client.runtime).deploy_am_handler(name.to_string(), handler.clone());
+        // Clients apply immediately; servers catch up (in registry order,
+        // hence with identical handler ids) before their next message.
+        for client in &mut self.clients {
+            client.deploy_am_handler(name.to_string(), handler.clone());
         }
         self.am_registry
             .lock()
@@ -1372,7 +1128,7 @@ impl Transport for ThreadTransport {
     }
 
     fn flush_client(&mut self, id: ClientId) -> Result<()> {
-        if id.0 >= self.shared.clients.len() {
+        if id.0 >= self.clients.len() {
             return Err(CoreError::Transport(format!("no client with id {id}")));
         }
         if self.cluster.is_none() {
@@ -1381,46 +1137,61 @@ impl Transport for ThreadTransport {
         // Synchronous on the caller's thread: when this returns, the ops are
         // in the node channels, so a control round trip issued next acts as
         // a barrier behind them (same per-producer FIFO).
-        flush_outgoing(&self.shared, &self.injector, id.0);
+        self.flush_outgoing(id.0);
         Ok(())
     }
 
     fn step(&mut self) -> Result<bool> {
-        let busy_deadline = Instant::now() + self.tuning.busy_step_timeout;
+        let started = Instant::now();
+        let busy_deadline = started + self.tuning.busy_step_timeout;
         let step_timeout = self.tuning.step_timeout;
+        let step_batch = self.tuning.step_batch.max(1);
+        let mut silent_since = started;
         loop {
+            // The retransmission timers run whether or not traffic flows (a
+            // held-back envelope is recovered by the re-send).
+            self.client_tick();
+            let park = self.park_slice();
             let Some(cluster) = &self.cluster else {
                 return Ok(false);
             };
-            // Driver-port housekeeping: error reports and stale control
-            // replies addressed to the control port.
-            let mut drained = false;
-            while let Some(env) = cluster.try_recv_external() {
-                self.on_driver_envelope(env);
-                drained = true;
-            }
-            if drained {
+            // Spin first: the reply to a just-flushed op usually lands
+            // within the window, and catching it here skips a park/wake.
+            let arrived = if started.elapsed() < SPIN_WINDOW {
+                match cluster.try_recv_external() {
+                    Some(env) => Some(env),
+                    None => {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                }
+            } else {
+                let silence_left = step_timeout.saturating_sub(silent_since.elapsed());
+                cluster.recv_external(park.min(silence_left))
+            };
+            if let Some(env) = arrived {
+                // Drain the burst behind the first envelope: one wakeup,
+                // one batch of work.
+                let mut batch = vec![env];
+                while batch.len() < step_batch {
+                    match cluster.try_recv_external() {
+                        Some(env) => batch.push(env),
+                        None => break,
+                    }
+                }
                 self.stalled_since = None;
+                self.process(batch);
                 return Ok(true);
             }
-            // Park until a worker signals progress (completions deposited,
-            // ops delivered, acks processed) or the idle-check timeout.
-            let (gen, progressed) = self.shared.progress.wait_past(self.seen_gen, step_timeout);
-            self.seen_gen = gen;
-            if progressed {
-                self.stalled_since = None;
-                return Ok(true);
+            if silent_since.elapsed() < step_timeout {
+                continue; // a chaos-mode tick slice ended, not the silence
             }
             // step_timeout of silence.  Only call it idleness when no
-            // node-bound or worker-bound message is queued or mid-processing
-            // — and, in chaos mode, no frame anywhere awaits an ack (a
-            // partitioned link with retransmits pending is *busy*, not idle)
-            // — otherwise keep waiting (bounded).
-            let unacked = self
-                .chaos
-                .as_ref()
-                .map(|c| c.table.total_unacked())
-                .unwrap_or(0);
+            // node-bound message is queued or mid-processing — and, in chaos
+            // mode, no frame anywhere awaits an ack (a partitioned link with
+            // retransmits pending is *busy*, not idle) — otherwise keep
+            // waiting (bounded).
+            let unacked = self.unacked_total();
             if unacked > 0 {
                 // Reliability work is outstanding: report progress so waits
                 // keep running — but bound the total silence.  A frame that
@@ -1443,15 +1214,13 @@ impl Transport for ThreadTransport {
                     .map(|c| Duration::from_nanos(c.rto_max) * 4)
                     .unwrap_or(Duration::ZERO);
                 let horizon = (self.tuning.busy_step_timeout * 10).max(rel_horizon);
-                if now.duration_since(since) < horizon {
-                    return Ok(true);
-                }
-                return Ok(false);
+                return Ok(now.duration_since(since) < horizon);
             }
             self.stalled_since = None;
             if cluster.pending_messages() == 0 || Instant::now() >= busy_deadline {
                 return Ok(false);
             }
+            silent_since = Instant::now();
         }
     }
 
@@ -1460,15 +1229,12 @@ impl Transport for ThreadTransport {
     }
 
     fn take_completions(&mut self, id: ClientId) -> Vec<Completion> {
-        assert!(id.0 < self.shared.clients.len(), "no client with id {id}");
-        // Post-`attach_claims` the worker deposits straight into the shards
-        // and this is usually empty; completions produced on the driver's
-        // own paths (loopback before attach) still flow through here.
-        relock(&self.shared.clients[id.0].runtime).take_completions()
+        assert!(id.0 < self.clients.len(), "no client with id {id}");
+        self.clients[id.0].take_completions()
     }
 
     fn now_nanos(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        self.now()
     }
 
     fn unacked_total(&self) -> u64 {
@@ -1485,9 +1251,9 @@ impl Transport for ThreadTransport {
     }
 
     fn read_memory(&mut self, rank: usize, addr: u64, len: usize) -> Result<Vec<u8>> {
-        if rank < self.shared.clients.len() {
+        if rank < self.clients.len() {
             let mut buf = vec![0u8; len];
-            relock(&self.shared.clients[rank].runtime)
+            self.clients[rank]
                 .memory
                 .read(addr, &mut buf)
                 .map_err(|e| CoreError::Transport(e.to_string()))?;
@@ -1506,8 +1272,8 @@ impl Transport for ThreadTransport {
     }
 
     fn write_memory(&mut self, rank: usize, addr: u64, data: &[u8]) -> Result<()> {
-        if rank < self.shared.clients.len() {
-            return relock(&self.shared.clients[rank].runtime)
+        if rank < self.clients.len() {
+            return self.clients[rank]
                 .memory
                 .write(addr, data)
                 .map_err(|e| CoreError::Transport(e.to_string()));
@@ -1526,8 +1292,8 @@ impl Transport for ThreadTransport {
     }
 
     fn node_stats(&mut self, rank: usize) -> Result<RuntimeStats> {
-        if rank < self.shared.clients.len() {
-            return Ok(relock(&self.shared.clients[rank].runtime).stats);
+        if rank < self.clients.len() {
+            return Ok(self.clients[rank].stats);
         }
         let reply = self.control_roundtrip(rank, wire::TAG_STATS, wire::TAG_STATS_REPLY, &[])?;
         wire::decode_stats(&reply)
@@ -1547,12 +1313,7 @@ impl Transport for ThreadTransport {
         TransportMetrics {
             messages_delivered: m.delivered,
             messages_dropped: m.dropped(),
-            bytes_sent: self
-                .shared
-                .clients
-                .iter()
-                .map(|c| relock(&c.runtime).stats.bytes_sent)
-                .sum(),
+            bytes_sent: self.clients.iter().map(|c| c.stats.bytes_sent).sum(),
             retransmits,
             dup_drops,
             faults_injected: self
@@ -1573,10 +1334,6 @@ impl Transport for ThreadTransport {
 
     fn shutdown(&mut self) {
         if let Some(cluster) = self.cluster.take() {
-            self.shared.stop.store(true, Ordering::SeqCst);
-            for w in self.workers.drain(..) {
-                let _ = w.join();
-            }
             self.final_metrics = cluster.metrics();
             cluster.shutdown();
         }

@@ -5,7 +5,7 @@
 //! this plane's design surfaced.
 
 use std::time::Duration;
-use tc_core::layout::DATA_REGION_BASE;
+use tc_core::layout::{DATA_REGION_BASE, RESULT_MAILBOX_SLOTS};
 use tc_core::{
     build_ifunc_library, Backend, Cluster, ClusterBuilder, CompletionSet, FaultPlan, Ready,
     ResultHandle, ThreadTuning, Transport,
@@ -267,6 +267,79 @@ fn result_slot_allocator_skips_reserved_slots() {
     let later = cluster.reserve_result_slot(b.slot() + 1);
     let c = cluster.result_slot();
     assert_ne!(c.slot(), later.slot());
+}
+
+/// REGRESSION (result mailbox wrap): the allocator used to hand out
+/// ever-growing slot numbers while the mailbox address wraps modulo
+/// `RESULT_MAILBOX_SLOTS`, so the 4097th result landed in slot 0's word,
+/// was claimed as slot 0, and its waiter ended in `WaitTimeout`.  The
+/// allocator now cycles through the mailbox itself.
+#[test]
+fn result_slots_cycle_past_the_mailbox_size() {
+    const RESULTS: u64 = RESULT_MAILBOX_SLOTS + 4;
+    let platform = tc_simnet::Platform::thor_xeon();
+    for backend in [Backend::Simnet, Backend::Threads] {
+        let mut cluster = builder().build(backend);
+        let lib = build_ifunc_library(
+            &tsi_reporting_module("rtsi_wrap"),
+            &platform_toolchain(&platform),
+        )
+        .unwrap();
+        let handle = cluster.register_ifunc(lib);
+        for i in 1..=RESULTS {
+            let slot = cluster.result_slot();
+            assert!(
+                slot.slot() < RESULT_MAILBOX_SLOTS,
+                "{backend}: slot {}",
+                slot.slot()
+            );
+            let payload = tc_workloads::reporting_tsi_payload::encode(0, slot.slot(), 1, 0);
+            let msg = cluster.bitcode_message(handle, payload).unwrap();
+            cluster.send_ifunc(&msg, 1).unwrap();
+            let value = cluster
+                .wait(&slot)
+                .unwrap_or_else(|e| panic!("{backend}: result {i}: {e}"));
+            assert_eq!(value, i, "{backend}: result {i}");
+        }
+        // A manual slot number past the mailbox names the slot it wraps
+        // onto, so its result is claimed instead of timing out.
+        let slot = ResultHandle::for_slot(RESULT_MAILBOX_SLOTS + 7);
+        let payload = tc_workloads::reporting_tsi_payload::encode(0, slot.slot(), 1, 0);
+        let msg = cluster.bitcode_message(handle, payload).unwrap();
+        cluster.send_ifunc(&msg, 1).unwrap();
+        assert_eq!(cluster.wait(&slot).unwrap(), RESULTS + 1, "{backend}");
+        cluster.shutdown();
+    }
+}
+
+/// A control round trip (here a `read_memory` peek) issued while a GET and
+/// a confirmed PUT are still in flight must not lose them: on the threaded
+/// and socket backends their replies reach the driver while it waits for
+/// the control reply, and it has to route them, not drop them.
+#[test]
+fn control_round_trip_keeps_in_flight_data_on_every_backend() {
+    let value = 0x0123_4567_89AB_CDEFu64.to_le_bytes();
+    let put_addr = DATA_REGION_BASE + 64;
+    for backend in [Backend::Simnet, Backend::Threads, Backend::Socket] {
+        let mut cluster = builder()
+            .server_bin(env!("CARGO_BIN_EXE_tc-socket-server"))
+            .build(backend);
+        cluster.write_memory(1, DATA_REGION_BASE, &value).unwrap();
+        let get = cluster.get(1, DATA_REGION_BASE, 8).unwrap();
+        let put = cluster.put_confirmed(1, put_addr, vec![0x5A; 16]).unwrap();
+        // The peek queues behind both ops on server 1's FIFO.
+        let peeked = cluster.read_memory(1, DATA_REGION_BASE, 8).unwrap();
+        assert_eq!(peeked, value.to_vec(), "{backend}: peek");
+        assert_eq!(
+            cluster.wait(&get).unwrap(),
+            value.to_vec(),
+            "{backend}: GET"
+        );
+        cluster.wait(&put).unwrap();
+        let stored = cluster.read_memory(1, put_addr, 16).unwrap();
+        assert_eq!(stored, vec![0x5A; 16], "{backend}: PUT");
+        cluster.shutdown();
+    }
 }
 
 /// REGRESSION (wait-timeout/RTO interplay, threaded backend): with a park

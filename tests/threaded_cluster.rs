@@ -205,3 +205,52 @@ fn thread_tuning_is_configurable_through_the_builder() {
     }
     cluster.shutdown();
 }
+
+/// Names of this process's threads, or `None` where `/proc` is absent.
+fn thread_names() -> Option<Vec<String>> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_string())
+            .collect(),
+    )
+}
+
+#[test]
+fn threads_backend_starts_no_client_threads() {
+    // Client progress runs on the caller's thread: a four-client cluster
+    // adds its server node threads and nothing else.
+    if thread_names().is_none() {
+        eprintln!("skipped: /proc/self/task is not available");
+        return;
+    }
+    let mut cluster = ClusterBuilder::new()
+        .platform(tc_simnet::Platform::thor_xeon())
+        .clients(4)
+        .servers(2)
+        .build_threaded();
+    for c in cluster.client_ids().collect::<Vec<_>>() {
+        let handle = cluster
+            .get_from(
+                c,
+                cluster.server_rank(0),
+                tc_core::layout::DATA_REGION_BASE,
+                8,
+            )
+            .unwrap();
+        cluster.wait(&handle).unwrap();
+    }
+    let names = thread_names().unwrap();
+    // Other tests in this binary may run clusters of their own, so node
+    // threads are counted as a lower bound only.
+    assert!(
+        names.iter().filter(|n| n.starts_with("tc-node-")).count() >= 2,
+        "the check must see this cluster's node threads: {names:?}"
+    );
+    assert!(
+        !names.iter().any(|n| n.starts_with("tc-client-")),
+        "no per-client threads: {names:?}"
+    );
+    cluster.shutdown();
+}
